@@ -1,7 +1,9 @@
 """Distributed dispatch overhead: scheduler + sockets vs the process pool.
 
-Four cells over the same cohort, all asserted bit-identical to the serial
-baseline:
+Two shapes, every cell asserted bit-identical to the serial baseline.
+
+``test_dist_dispatch_overhead`` — throughput: four cells over one large
+cohort, where any fixed per-dispatch cost is amortised away:
 
 - ``serial``      — in-process reference.
 - ``pool``        — ``ParallelExecutor`` over shared-memory workers.
@@ -9,6 +11,11 @@ baseline:
   heartbeats — the price of surviving worker loss and network faults.
 - ``dist-chaos``  — live network faults (``drop:0.2+delay:0.2``): dropped
   connections reconnect, delayed results ride out their leases.
+
+``test_small_cohort_dispatch_latency`` — FedAT's shape: many dispatches of
+3-task cohorts (one tier's synchronous round), for serial, pool and dist.
+Here the fixed per-dispatch cost is the whole story, so the cell prints
+the per-dispatch milliseconds.
 
 Run with ``python -m pytest benchmarks/bench_dist.py -q -s``;
 ``REPRO_SMOKE=1`` shrinks the federation for CI.
@@ -39,6 +46,8 @@ NUM_CLIENTS = 24 if SMOKE else 200
 SAMPLES_PER_CLIENT = 16 if SMOKE else 32
 WORKERS = 2
 COHORTS = 2 if SMOKE else 5
+TIER_COHORT = 3  # clients per tier round on the tiny preset
+TIER_DISPATCHES = 20 if SMOKE else 200
 
 
 def _setup():
@@ -122,5 +131,48 @@ def test_dist_dispatch_overhead(artifact):
                  "counters": c}
                 for n, dt, c in rows
             ],
+        },
+    )
+
+
+def test_small_cohort_dispatch_latency(artifact):
+    model, clients, tasks = _setup()
+    loss, opt = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
+    start = model.get_flat_weights()
+    cohorts = [
+        [tasks[(TIER_COHORT * d + j) % NUM_CLIENTS] for j in range(TIER_COHORT)]
+        for d in range(TIER_DISPATCHES)
+    ]
+
+    def timed(executor):
+        t0 = time.perf_counter()
+        out = [_fingerprint(executor.run_cohort(start, c)) for c in cohorts]
+        return (time.perf_counter() - t0) / TIER_DISPATCHES, out
+
+    with SerialExecutor(model.clone(), clients, loss, opt) as serial:
+        serial_dt, reference = timed(serial)
+    rows = [("serial", serial_dt)]
+    for name, cls in (("pool", ParallelExecutor), ("dist", DistExecutor)):
+        with cls(model, clients, loss, opt, num_workers=WORKERS) as executor:
+            executor.run_cohort(start, cohorts[0])  # warm the workers
+            dt, out = timed(executor)
+        assert out == reference, f"{name} diverges from serial"
+        rows.append((name, dt))
+
+    print(
+        f"\nsmall-cohort dispatch — {TIER_DISPATCHES} dispatches of "
+        f"{TIER_COHORT} clients, {WORKERS} workers{' [smoke]' if SMOKE else ''}"
+    )
+    print(f"{'cell':<12}{'ms/dispatch':>13}{'vs serial':>11}")
+    for name, dt in rows:
+        print(f"{name:<12}{dt * 1e3:>13.2f}{dt / serial_dt:>10.2f}x")
+    artifact(
+        "dist_small_cohort_dispatch",
+        {
+            "cohort_size": TIER_COHORT,
+            "dispatches": TIER_DISPATCHES,
+            "workers": WORKERS,
+            "smoke": SMOKE,
+            "rows": [{"cell": n, "ms_per_dispatch": dt * 1e3} for n, dt in rows],
         },
     )

@@ -10,7 +10,8 @@ Two runs of the same experiment:
 Passes iff the distributed history is byte-identical to the serial one
 after stripping the wall-clock-only meta keys (``phase_seconds``, fault
 counters) — the kill may cost retries and a respawn, never bits — and the
-recovery counters actually recorded the event.
+recovery counters actually recorded the event. A run that finishes before
+the kill lands fails too: it would have checked nothing.
 
 Usage::
 
@@ -75,8 +76,9 @@ def main() -> int:
     parser.add_argument(
         "--kill-delay",
         type=float,
-        default=0.05,
-        help="seconds between the first dispatch going out and the SIGKILL",
+        default=0.0,
+        help="seconds between the first dispatch going out and the SIGKILL "
+        "(a tiny-scale run can finish within tens of milliseconds)",
     )
     args = parser.parse_args()
 
@@ -97,10 +99,11 @@ def main() -> int:
         },
         kill_delay=args.kill_delay,
     )
-    if killed:
-        print(f"      killed worker pid {killed['pid']}")
-    else:
-        print("      WARNING: run finished before the kill landed")
+    if not killed:
+        print("FAIL: the run finished before the kill landed; lower "
+              "--kill-delay or raise --rounds", file=sys.stderr)
+        return 1
+    print(f"      killed worker pid {killed['pid']}")
 
     counters = chaos.meta.get("faults", {})
     print(f"      recovery counters: { {k: v for k, v in counters.items() if v} or '-'}")
@@ -116,7 +119,7 @@ def main() -> int:
             if ref["meta"][key] != got["meta"].get(key):
                 print(f"  meta[{key!r}] differs", file=sys.stderr)
         return 1
-    if killed and not (counters.get("worker_deaths") or counters.get("respawns")):
+    if not (counters.get("worker_deaths") or counters.get("respawns")):
         print("FAIL: a worker was killed but no recovery counter recorded it",
               file=sys.stderr)
         return 1

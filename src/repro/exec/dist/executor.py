@@ -222,6 +222,7 @@ class DistExecutor(ClientExecutor):
             for p in self.worker_processes:
                 if not p.is_alive():
                     p.join(timeout=0)
+                    p.close()
             self.fault_counters["respawns"] += dead
             self.worker_processes = alive
             self._spawn_local(dead)
@@ -311,13 +312,23 @@ class DistExecutor(ClientExecutor):
         if self._closed:
             return
         self._closed = True
+        notified: set[int] = set()
         if self._scheduler is not None:
             self._scheduler.stop()
+            notified = self._scheduler.notified_pids
         for proc in self.worker_processes:
+            # A local worker the scheduler never registered got no shutdown
+            # frame: it is still starting, reconnecting, or queued on the
+            # listener it inherited across fork, and would block until the
+            # join timeout. Nothing it holds is worth waiting for.
+            if proc.pid not in notified:
+                proc.terminate()
             proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=2.0)
+            if not proc.is_alive():
+                proc.close()  # release the sentinel pipe now, not at GC
         self.worker_processes = []
 
     def __del__(self):  # pragma: no cover - GC safety net

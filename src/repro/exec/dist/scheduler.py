@@ -1,11 +1,19 @@
 """Scheduler: global weights, chunk leases, and worker supervision.
 
 One background thread runs a ``selectors`` event loop over the listening
-socket and every worker connection. All connection and lease state is
-owned by that thread; the executor talks to it through two narrow,
-thread-safe seams — :meth:`Scheduler.publish_weights` (version + cached
-wire frame under a lock) and :meth:`Scheduler.submit` (a :class:`_Job`
-dropped on a deque, resolved by setting ``job.done``).
+socket, every worker connection, and a wake channel. All connection and
+lease state is owned by that thread; the executor talks to it through two
+narrow, thread-safe seams — :meth:`Scheduler.publish_weights` (version +
+cached wire frame under a lock) and :meth:`Scheduler.submit` (a
+:class:`_Job` dropped on a deque, resolved by setting ``job.done``).
+
+Dispatch is event-driven. The wake channel is a non-blocking socketpair
+whose read end sits in the selector: :meth:`Scheduler.submit` and
+:meth:`Scheduler.stop` write one byte to it, so the loop drains it and
+assigns the new job's leases (or shuts down) at once rather than at the
+end of a selector timeout. A full wake buffer means a wake is already
+pending, so that write is dropped. ``_POLL`` only paces the heartbeat and
+lease-deadline checks; it adds no latency to a dispatch.
 
 Supervision model (the PR-8 pool supervisor, lifted across the network):
 
@@ -43,6 +51,9 @@ from repro.exec.dist.wire import FrameBuffer, encode_frame
 from repro.exec.faults import chunk_checksum
 
 __all__ = ["Scheduler"]
+
+#: Selector key data marking the wake channel (the listener's is ``None``).
+_WAKE = object()
 
 
 class _Conn:
@@ -104,7 +115,7 @@ class Scheduler:
     after ``job.done`` — no lock needed beyond the GIL.
     """
 
-    _POLL = 0.02  # selector timeout: heartbeat/deadline housekeeping cadence
+    _POLL = 0.02  # selector timeout: heartbeat/deadline check cadence only
 
     def __init__(
         self,
@@ -128,6 +139,10 @@ class Scheduler:
         self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._sel.register(self._listener, selectors.EVENT_READ, None)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
         self._conns: list[_Conn] = []
         self._seen_ids: set[str] = set()
         self._init_frame: bytes | None = None
@@ -141,6 +156,8 @@ class Scheduler:
         self._weights_frame: bytes = b""
         self._stop = False
         self._thread: threading.Thread | None = None
+        #: Pids of registered workers sent a shutdown frame; set on stop.
+        self.notified_pids: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Executor-facing API (called from the executor's thread)
@@ -186,14 +203,25 @@ class Scheduler:
             dispatch, chunks, weights_version, retry_budget=retry_budget, timeout=timeout
         )
         self._inbox.append(job)
+        self._wake()
         return job
 
     def stop(self) -> None:
         """Shut down: broadcast shutdown frames, close sockets, join."""
         self._stop = True
+        self._wake()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+
+    def _wake(self) -> None:
+        """Interrupt the loop's ``select`` so it acts on new state now."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            # BlockingIOError: the buffer is full, so a wake is already
+            # pending. Anything else: the loop has shut down and closed it.
+            pass
 
     # ------------------------------------------------------------------ #
     # Event loop (everything below runs on the loop thread)
@@ -205,6 +233,9 @@ class Scheduler:
                     if key.data is None:
                         self._accept()
                         continue
+                    if key.data is _WAKE:
+                        self._drain_wake()
+                        continue
                     conn: _Conn = key.data
                     if conn.closed:
                         continue
@@ -215,6 +246,13 @@ class Scheduler:
                 self._housekeeping(time.monotonic())
         finally:
             self._shutdown_all()
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except (BlockingIOError, InterruptedError):
+            pass
 
     def _accept(self) -> None:
         try:
@@ -477,6 +515,8 @@ class Scheduler:
                 conn.sock.setblocking(True)
                 conn.sock.settimeout(0.5)
                 conn.sock.sendall(bytes(conn.out) + frame)
+                if conn.registered:
+                    self.notified_pids.add(conn.pid)
             except OSError:
                 pass
             try:
@@ -494,6 +534,8 @@ class Scheduler:
         except (KeyError, ValueError):
             pass
         self._listener.close()
+        self._wake_r.close()
+        self._wake_w.close()
         self._sel.close()
         # Unblock any dispatch still waiting: surface its chunks as failed.
         job = self._job

@@ -29,6 +29,7 @@ from repro.exec.dist import (
     recv_frame,
     send_frame,
 )
+from repro.exec.dist.scheduler import Scheduler
 from repro.exec.dist.wire import encode_frame
 from repro.exec.faults import ExecutorFaultError, FaultPlan, parse_faults
 from repro.exec.parallel import ParallelExecutor
@@ -397,6 +398,39 @@ class TestDistExecutor:
         dist.close()
         assert dist.worker_processes == []
 
+    def test_close_right_after_construction_is_prompt(self, tiny_bow_dataset):
+        """Workers that connect after shutdown land on the listener they
+        inherited across fork and never get a shutdown frame; ``close()``
+        must terminate them rather than wait out the join timeout."""
+        _, dist = _executors(tiny_bow_dataset)
+        t0 = time.monotonic()
+        dist.close()
+        assert time.monotonic() - t0 < 1.5
+
+    def test_submit_wakes_scheduler(self, tiny_bow_dataset, monkeypatch):
+        """Dispatch and shutdown must not wait for the selector timeout.
+
+        With a 5 s poll and heartbeats too slow to wake the loop, only the
+        wake channel can get each dispatch's leases out promptly."""
+        monkeypatch.setattr(Scheduler, "_POLL", 5.0)
+        serial, dist = _executors(tiny_bow_dataset, heartbeat_interval=10.0, heartbeat_timeout=30.0)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            t0 = time.monotonic()
+            for size in (2, 3, 8):
+                tasks = _cohort(size)
+                _assert_results_equal(
+                    serial.run_cohort(start, tasks), dist.run_cohort(start, tasks)
+                )
+            assert time.monotonic() - t0 < 2.5
+        finally:
+            t0 = time.monotonic()
+            dist.close()
+            closed_in = time.monotonic() - t0
+            serial.close()
+        assert closed_in < 2.5
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork workers")
 def test_external_worker_via_cli(tiny_bow_dataset, tmp_path):
@@ -451,6 +485,24 @@ def test_init_payload_survives_pickle(tiny_bow_dataset):
         assert pickle.loads(blob)["heartbeat_interval"] == 0.2
     finally:
         dist.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_executors_release_file_descriptors(tiny_bow_dataset):
+    """Listener, wake channel, selector, connections and worker sentinels
+    are all closed by ``close()``: the fd count returns to its baseline."""
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    baseline = open_fds()
+    for _ in range(3):
+        serial, dist = _executors(tiny_bow_dataset)
+        start = serial.model.get_flat_weights()
+        dist.run_cohort(start, _cohort(4))
+        dist.close()
+        serial.close()
+    assert open_fds() == baseline
 
 
 def test_wait_for_workers_times_out_cleanly(tiny_bow_dataset):
